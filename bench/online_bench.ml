@@ -1,6 +1,6 @@
 (* The online anytime scheduler's two performance contracts, gated:
 
-     online        amortized O(p) work per arrival — the fast kernel's
+     online        amortized O(p) work per arrival — the kernel's
                    candidate scans per submitted task equal the processor
                    count exactly, independent of how many tasks are
                    already placed — and a zero-allocation steady state
@@ -34,7 +34,7 @@ let scans_per_arrival ~p ~n =
   let mem = Obs.Memory.create () in
   Obs.with_sink (Obs.Memory.sink mem) (fun () ->
       let o =
-        Online.create ~kernel:Msts.Solve.Fast ~capacity:n chain
+        Online.create ~capacity:n chain
           ~deadline:(200 * n)
       in
       let placed = Online.submit o n in
@@ -54,7 +54,7 @@ let run_scaling () =
     (fun p ->
       let small = scans_per_arrival ~p ~n:512 in
       let large = scans_per_arrival ~p ~n:1024 in
-      (* O(p) per arrival, exactly: the fast kernel probes each processor
+      (* O(p) per arrival, exactly: the kernel probes each processor
          once.  Doubling n must not change the per-arrival cost at all —
          that is the whole point of the incremental construction. *)
       if small <> p then
@@ -82,7 +82,7 @@ let run_allocation () =
   let n = 4096 in
   let chain = chain_with ~p:8 in
   let o =
-    Online.create ~kernel:Msts.Solve.Fast ~capacity:n chain ~deadline:(200 * n)
+    Online.create ~capacity:n chain ~deadline:(200 * n)
   in
   ignore (Online.submit o 64) (* warm-up *);
   let baseline = calibrate () in

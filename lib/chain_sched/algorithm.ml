@@ -46,113 +46,86 @@ type step = {
   state_before : state;
 }
 
-let place_with ~select chain st ~task =
+(* Commit a candidate-scan decision: the state mutation and counters of
+   [Kernel.commit], for a vector the caller already holds. *)
+let commit_candidate chain st ~proc vector =
+  let start = st.occupancy.(proc - 1) - Chain.work chain proc in
+  st.occupancy.(proc - 1) <- start;
+  Array.blit vector 0 st.hull 0 proc;
+  Obs.count "chain.tasks_placed";
+  Obs.count ~n:proc "chain.hull_updates";
+  start
+
+let place chain st ~task =
   let state_before = copy_state st in
   let all_candidates = candidates chain st in
   let chosen_proc = select all_candidates + 1 in
   let chosen_vector = all_candidates.(chosen_proc - 1) in
-  let start = st.occupancy.(chosen_proc - 1) - Chain.work chain chosen_proc in
-  st.occupancy.(chosen_proc - 1) <- start;
-  for j = 1 to chosen_proc do
-    st.hull.(j - 1) <- chosen_vector.(j - 1)
-  done;
-  Obs.count "chain.tasks_placed";
-  Obs.count ~n:chosen_proc "chain.hull_updates";
+  let start = commit_candidate chain st ~proc:chosen_proc chosen_vector in
   { task; chosen_proc; chosen_vector; start; all_candidates; state_before }
-
-let place = place_with ~select
-
-(* Placement without the step record: same state mutation and counters as
-   [place_with], but no [state_before] deep copy and no retained candidate
-   array — for callers with no observer installed. *)
-let place_light ~select chain st =
-  let all_candidates = candidates chain st in
-  let proc = select all_candidates + 1 in
-  let vector = all_candidates.(proc - 1) in
-  let start = st.occupancy.(proc - 1) - Chain.work chain proc in
-  st.occupancy.(proc - 1) <- start;
-  for j = 1 to proc do
-    st.hull.(j - 1) <- vector.(j - 1)
-  done;
-  Obs.count "chain.tasks_placed";
-  Obs.count ~n:proc "chain.hull_updates";
-  (proc, vector, start)
 
 let horizon = Chain.master_only_makespan
 
-let resolve_kernel = function Some k -> k | None -> Kernel.default ()
-
-let schedule_core ~select ?on_step chain n =
+(* The backward loop every full construction shares: [place st ~task]
+   decides task [task], mutates the state and returns its entry. *)
+let construct chain n place =
   if n < 0 then invalid_arg "Algorithm.schedule: negative task count";
   Obs.span "chain.schedule" ~args:[ ("n", string_of_int n) ] @@ fun () ->
   let st = initial_state chain ~horizon:(horizon chain n) in
-  let entries =
-    Array.init n (fun _ -> { Schedule.proc = 1; start = 0; comms = [| 0 |] })
-  in
-  (match on_step with
-  | Some f ->
-      for task = n downto 1 do
-        let step = place_with ~select chain st ~task in
-        f step;
-        entries.(task - 1) <-
-          {
-            Schedule.proc = step.chosen_proc;
-            start = step.start;
-            comms = step.chosen_vector;
-          }
-      done
-  | None ->
-      for task = n downto 1 do
-        let proc, vector, start = place_light ~select chain st in
-        entries.(task - 1) <- { Schedule.proc; start; comms = vector }
-      done);
-  Schedule.normalise (Schedule.make chain entries)
-
-let fast_schedule chain n =
-  if n < 0 then invalid_arg "Algorithm.schedule: negative task count";
-  Obs.span "chain.schedule" ~args:[ ("n", string_of_int n) ] @@ fun () ->
-  let st = initial_state chain ~horizon:(horizon chain n) in
-  let sc = Kernel.scratch () in
-  let entries =
-    Array.init n (fun _ -> { Schedule.proc = 1; start = 0; comms = [| 0 |] })
-  in
+  let entries = Array.make n { Schedule.proc = 1; start = 0; comms = [| 0 |] } in
   for task = n downto 1 do
-    let proc = Kernel.sweep chain ~hull:st.hull ~occupancy:st.occupancy sc in
-    let comms = Kernel.chosen_vector sc ~proc in
-    let start = Kernel.commit chain ~hull:st.hull ~occupancy:st.occupancy sc ~proc in
-    entries.(task - 1) <- { Schedule.proc; start; comms }
+    entries.(task - 1) <- place st ~task
   done;
   Schedule.normalise (Schedule.make chain entries)
 
-let schedule ?kernel ?on_step chain n =
-  match (on_step, resolve_kernel kernel) with
-  | None, Kernel.Fast -> fast_schedule chain n
-  | Some _, _ | None, Kernel.Reference -> schedule_core ~select ?on_step chain n
+let schedule ?on_step chain n =
+  let sc = Kernel.scratch () in
+  let sweep st = Kernel.sweep chain ~hull:st.hull ~occupancy:st.occupancy sc in
+  let commit st ~proc =
+    Kernel.commit chain ~hull:st.hull ~occupancy:st.occupancy sc ~proc
+  in
+  match on_step with
+  | None ->
+      construct chain n (fun st ~task:_ ->
+          let proc = sweep st in
+          let comms = Kernel.chosen_vector sc ~proc in
+          { Schedule.proc; start = commit st ~proc; comms })
+  | Some observe ->
+      (* The observer gets what the candidate scan would show (every
+         candidate and the state before the placement), recomputed without
+         counting it as a scan, beside the decision the kernel took. *)
+      let p = Chain.length chain in
+      construct chain n (fun st ~task ->
+          let state_before = copy_state st in
+          let all_candidates = Array.init p (fun idx -> candidate chain st (idx + 1)) in
+          let chosen_proc = sweep st in
+          let chosen_vector = Kernel.chosen_vector sc ~proc:chosen_proc in
+          let start = commit st ~proc:chosen_proc in
+          observe
+            { task; chosen_proc; chosen_vector; start; all_candidates; state_before };
+          { Schedule.proc = chosen_proc; start; comms = chosen_vector })
 
-let schedule_with_selector ~select chain n = schedule_core ~select chain n
+let schedule_with_selector ~select chain n =
+  construct chain n (fun st ~task:_ ->
+      let cands = candidates chain st in
+      let proc = select cands + 1 in
+      let comms = cands.(proc - 1) in
+      { Schedule.proc; start = commit_candidate chain st ~proc comms; comms })
 
-let makespan ?kernel chain n =
+let makespan chain n =
   if n = 0 then 0
   else begin
     Obs.span "chain.makespan" ~args:[ ("n", string_of_int n) ] @@ fun () ->
     (* The last-placed (first-emitted) task fixes the shift; task n always
        finishes exactly at the horizon. *)
     let st = initial_state chain ~horizon:(horizon chain n) in
-    let first_emission = ref 0 in
-    (match resolve_kernel kernel with
-    | Kernel.Fast ->
-        let sc = Kernel.scratch () in
-        for task = n downto 1 do
-          let proc = Kernel.sweep chain ~hull:st.hull ~occupancy:st.occupancy sc in
-          let (_ : int) =
-            Kernel.commit chain ~hull:st.hull ~occupancy:st.occupancy sc ~proc
-          in
-          if task = 1 then first_emission := Kernel.first_emission sc
-        done
-    | Kernel.Reference ->
-        for task = n downto 1 do
-          let _, vector, _ = place_light ~select chain st in
-          if task = 1 then first_emission := vector.(0)
-        done);
-    horizon chain n - !first_emission
+    let sc = Kernel.scratch () in
+    for _ = n downto 1 do
+      let proc = Kernel.sweep chain ~hull:st.hull ~occupancy:st.occupancy sc in
+      let (_ : int) =
+        Kernel.commit chain ~hull:st.hull ~occupancy:st.occupancy sc ~proc
+      in
+      ()
+    done;
+    horizon chain n - Kernel.first_emission sc
   end

@@ -15,8 +15,13 @@
     in Definition 3's order wins; hull and occupancy are updated, and the
     final schedule is shifted so that it starts at time 0.
 
-    The construction costs [O(p²)] per task, [O(n·p²)] overall (Theorem 1
-    proves the result makespan-optimal). *)
+    Materialising the candidates costs [O(p²)] per task, [O(n·p²)]
+    overall; {!schedule} and {!makespan} decide each placement with
+    {!Kernel.sweep} in [O(p)] instead, and the candidate scan below
+    ({!candidates}, {!select}, {!place}, {!schedule_with_selector}) stays
+    as the Definition 3 oracle that explanations, lemma checkers,
+    ablations and tests compare against (Theorem 1 proves the result
+    makespan-optimal). *)
 
 type state = {
   hull : int array;  (** [hull.(k-1) = h_k] *)
@@ -54,20 +59,19 @@ val horizon : Msts_platform.Chain.t -> int -> int
 (** T∞ = [c₁ + (n−1)·max(w₁,c₁) + w₁] for [n] tasks (0 when [n = 0]). *)
 
 val schedule :
-  ?kernel:Kernel.t ->
   ?on_step:(step -> unit) ->
   Msts_platform.Chain.t -> int -> Msts_schedule.Schedule.t
 (** [schedule chain n] is the paper's algorithm: optimal schedule for [n]
-    tasks, normalised to start at time 0.  [on_step] observes each
-    placement (in construction order, task [n] first); installing it
-    forces the reference kernel, which is the only one that materialises
-    full {!step} records.  [kernel] defaults to {!Kernel.default}; both
-    kernels produce identical schedules.
+    tasks, normalised to start at time 0, each placement decided by
+    {!Kernel.sweep}.  [on_step] observes each placement (in construction
+    order, task [n] first); only when it is installed are the state copy
+    and the [all_candidates] of each {!step} computed, so observing costs
+    the candidate scan without changing the schedule or the counters.
     @raise Invalid_argument if [n < 0]. *)
 
-val makespan : ?kernel:Kernel.t -> Msts_platform.Chain.t -> int -> int
-(** Makespan of {!schedule} without materialising the trace (and, on the
-    fast kernel, without allocating any per-task vectors at all). *)
+val makespan : Msts_platform.Chain.t -> int -> int
+(** Makespan of {!schedule} without materialising the trace or
+    allocating any per-task vectors. *)
 
 val schedule_with_selector :
   select:(Msts_schedule.Comm_vector.t array -> int) ->

@@ -1,19 +1,5 @@
 module Chain = Msts_platform.Chain
-module Comm_vector = Msts_schedule.Comm_vector
 module Obs = Msts_obs.Obs
-
-type t = Fast | Reference
-
-let to_string = function Fast -> "fast" | Reference -> "reference"
-
-let of_string = function
-  | "fast" -> Some Fast
-  | "reference" -> Some Reference
-  | _ -> None
-
-let selected = Atomic.make Fast
-let set_default k = Atomic.set selected k
-let default () = Atomic.get selected
 
 type scratch = { mutable vals : int array }
 
@@ -73,5 +59,4 @@ let commit chain ~hull ~occupancy sc ~proc =
   Array.blit sc.vals 0 hull 0 proc;
   Obs.count "chain.tasks_placed";
   if Obs.enabled () then Obs.count ~n:proc "chain.hull_updates";
-  Obs.count "chain.kernel.fast_placements";
   start

@@ -1,30 +1,21 @@
-(** Kernel selection for the backward chain construction.
+(** The backward chain construction's placement kernel.
 
-    The reference kernel materialises all [p] candidate vectors (total
-    size O(p²)) on every placement and compares them with
-    {!Msts_schedule.Comm_vector.precedes} — the paper's O(n·p²) cost,
-    kept as the executable specification.  The fast kernel exploits the
-    suffix-min structure of the candidates: they all share the
-    propagation [v_j = min(v_{j+1}, h_j) − c_j], whose maps are monotone,
-    so the Definition 3 winner can be decided with one scalar comparison
-    per processor during a single O(p) backward sweep over a reusable
-    scratch buffer — no per-task allocation beyond the chosen vector
-    itself.  Both kernels produce byte-identical schedules (enforced by
-    the differential test suite).
+    Every solve path (chains, the §7 deadline variant, spider legs, batch,
+    online and replanning) places its tasks through {!sweep} and
+    {!commit}.  The paper's formulation materialises all [p] candidate
+    vectors (total size O(p²)) on every placement and compares them with
+    {!Msts_schedule.Comm_vector.precedes}; the kernel exploits their
+    suffix-min structure instead: they all share the propagation
+    [v_j = min(v_{j+1}, h_j) − c_j], whose maps are monotone, so the
+    Definition 3 winner is decided with one scalar comparison per
+    processor during a single O(p) backward sweep over a reusable scratch
+    buffer — no per-task allocation beyond the chosen vector itself.
 
-    The selected kernel is a process-wide atomic so batch-solver domains
-    and the CLI share one switch; call sites can override it per call
-    with their [?kernel] argument. *)
-
-type t = Fast | Reference
-
-val to_string : t -> string
-val of_string : string -> t option
-
-val default : unit -> t
-(** Process-wide default, [Fast] unless {!set_default} was called. *)
-
-val set_default : t -> unit
+    The candidate scan survives as a test and explanation oracle
+    ({!Algorithm.candidates}, {!Algorithm.select},
+    {!Algorithm.schedule_with_selector}, and [Pseudocode], the Figure 3
+    transcription); the differential suite checks the kernel against it
+    placement by placement. *)
 
 type scratch
 (** Reusable buffer for the fast sweep; grows to the largest [p] seen. *)

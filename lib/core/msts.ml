@@ -90,7 +90,7 @@ module Asap = Msts_baseline.Asap
 module Brute_force = Msts_baseline.Brute_force
 module List_sched = Msts_baseline.List_sched
 module Local_search = Msts_baseline.Local_search
-module Bounds = Msts_baseline.Bounds
+module Bounds = Msts_schedule.Bounds
 module Steady_state = Msts_baseline.Steady_state
 
 (* Execution substrate *)

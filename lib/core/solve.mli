@@ -4,7 +4,9 @@
     deadline — one polymorphic {!Msts_schedule.Plan.t} out.  Dispatch to
     the paper's algorithms happens internally:
 
-    - chains get the §3 backward construction (or its §4 deadline variant);
+    - chains get the §3 backward construction (or its §4 deadline variant),
+      run by the O(p)-per-task {!Msts_chain.Kernel} sweep that spider legs
+      share;
     - forks, spiders and master-branching-only trees are promoted to
       spiders and get the §6/§7 pipeline;
     - a tree that branches below the master is rejected (use the
@@ -27,23 +29,6 @@ type problem = Msts_pool.Batch.request = {
 val problem :
   ?tasks:int -> ?deadline:int -> Msts_platform.Parse.platform -> problem
 (** Convenience constructor. *)
-
-type kernel = Msts_chain.Kernel.t = Fast | Reference
-(** Which backward-construction kernel every solve (chain, deadline,
-    spider legs, batch, replanner) uses: the O(n·p) allocation-free sweep
-    ([Fast], the default) or the paper-literal O(n·p²) candidate scan
-    ([Reference], the escape hatch — also the only kernel that records
-    full per-step traces).  Both produce byte-identical plans; see
-    docs/PERFORMANCE.md. *)
-
-val set_kernel : kernel -> unit
-(** Set the process-wide kernel (the CLI's [--kernel] flag).  Shared by
-    all batch-solver domains. *)
-
-val kernel : unit -> kernel
-
-val kernel_to_string : kernel -> string
-val kernel_of_string : string -> kernel option
 
 val solve : problem -> (Msts_schedule.Plan.t, string) result
 (** Solve the problem:

@@ -50,8 +50,7 @@ type replan = { replaced : int; extended_by : int; deadline : int }
     re-placed, and how far (possibly 0) the deadline moved to fit them on
     the degraded platform. *)
 
-val create :
-  ?kernel:Msts.Solve.kernel -> ?capacity:int -> Msts.Chain.t -> deadline:int -> t
+val create : ?capacity:int -> Msts.Chain.t -> deadline:int -> t
 (** Open a session on [chain] with the given deadline.  [capacity]
     preallocates placement storage (see the cost model above).
     @raise Invalid_argument on a negative deadline or capacity. *)

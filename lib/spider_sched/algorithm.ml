@@ -125,19 +125,12 @@ let min_makespan spider n =
     let hi = makespan_upper_bound spider n in
     (* Warm start: every spider bound is provably <= OPT. *)
     let lo = Msts_schedule.Bounds.spider_combined_bound spider n in
-    let probe =
-      match Msts_chain.Kernel.default () with
-      | Msts_chain.Kernel.Reference ->
-          fun d ->
-            Obs.count "spider.search_probes";
-            max_tasks ~budget:n spider ~deadline:d >= n
-      | Msts_chain.Kernel.Fast ->
-          let cache = Leg_cache.build spider ~horizon:hi ~budget:n in
-          fun d ->
-            Obs.count "spider.search_probes";
-            Leg_cache.max_tasks cache spider ~deadline:d ~budget:n >= n
-    in
-    match Msts_util.Intx.binary_search_least ~lo ~hi probe with
+    let cache = Leg_cache.build spider ~horizon:hi ~budget:n in
+    match
+      Msts_util.Intx.binary_search_least ~lo ~hi (fun d ->
+          Obs.count "spider.search_probes";
+          Leg_cache.max_tasks cache spider ~deadline:d ~budget:n >= n)
+    with
     | Some d -> d
     | None -> hi (* unreachable: a master-only leg schedule meets [hi] *)
   end

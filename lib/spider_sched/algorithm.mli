@@ -35,11 +35,11 @@ val max_tasks : ?budget:int -> Msts_platform.Spider.t -> deadline:int -> int
 val min_makespan : Msts_platform.Spider.t -> int -> int
 (** Least deadline that fits [n] tasks (binary search over {!max_tasks};
     the staircase is monotone).  0 when [n = 0].  The search is
-    warm-started at {!Msts_schedule.Bounds.spider_combined_bound}; on the
-    fast kernel ({!Msts_chain.Kernel.default}) each leg's backward
-    construction runs once at the search ceiling and every probe replays
-    it by shift invariance ([spider.leg_reuses] counts the replays),
-    instead of re-running the deadline kernel per probe. *)
+    warm-started at {!Msts_schedule.Bounds.spider_combined_bound}.  Each
+    leg's backward construction runs once at the search ceiling and every
+    probe replays it by shift invariance ([spider.leg_reuses] counts the
+    replays), instead of re-running the deadline construction per
+    probe. *)
 
 val schedule_tasks : Msts_platform.Spider.t -> int -> Msts_schedule.Spider_schedule.t
 (** Optimal-makespan schedule for exactly [n] tasks. *)

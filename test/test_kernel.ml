@@ -1,93 +1,160 @@
-(* Differential and search tests for the fast chain kernel (O(n·p) fused
-   sweep) against the reference kernel (the paper-literal O(n·p²)
-   candidate scan).  The two must produce byte-identical plans on every
-   instance; the warm-started binary searches must return the same
-   answers as full-range searches with strictly fewer probes. *)
+(* Differential and search tests for the chain kernel (the O(n·p) fused
+   sweep every solve runs) against the oracles that spell Definition 3 out:
+   the Figure 3 transcription ([Chain_pseudocode]), the candidate-scan
+   construction ([schedule_with_selector ~select:Algorithm.select]), and,
+   for the deadline and spider searches, the least/greatest task counts
+   recomputed from scratch.  The warm-started binary searches must return
+   the same answers as full-range searches with strictly fewer probes. *)
 
 open Helpers
-module Kernel = Msts.Chain_kernel
+module Algorithm = Msts.Chain_algorithm
 module Obs = Msts.Obs
 
-let with_kernel k f =
-  let prev = Kernel.default () in
-  Kernel.set_default k;
-  Fun.protect ~finally:(fun () -> Kernel.set_default prev) f
+let kernel_plan chain n = Msts.Plan.Chain (Algorithm.schedule chain n)
+let pseudocode_plan chain n = Msts.Plan.Chain (Msts.Chain_pseudocode.schedule chain n)
 
-let chain_plan kernel chain n =
-  Msts.Plan.Chain (Msts.Chain_algorithm.schedule ~kernel chain n)
+let scan chain n = Algorithm.schedule_with_selector ~select:Algorithm.select chain n
+let scan_makespan chain n = Msts.Schedule.makespan (scan chain n)
 
-(* ---------- differential: fast vs reference ---------- *)
+(* The largest task count whose optimal makespan (by the candidate scan)
+   fits in [deadline], found by walking up from 0. *)
+let oracle_max_tasks chain ~deadline =
+  let rec go m = if scan_makespan chain (m + 1) > deadline then m else go (m + 1) in
+  go 0
+
+(* The [m]-task optimal schedule moved to end at [horizon]: what a
+   deadline construction from [horizon] must produce, since the backward
+   construction is shift-equivariant. *)
+let ending_at chain m ~horizon =
+  let s = Msts.Chain_pseudocode.schedule chain m in
+  Msts.Schedule.shift (Msts.Schedule.makespan s - horizon) s
+
+(* ---------- differential: kernel vs the Definition 3 oracles ---------- *)
 
 let schedules_identical =
   to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"schedule: fast = reference (chains)"
+    (QCheck.Test.make ~count:300
+       ~name:"schedule: kernel = Figure 3 transcription = candidate scan (chains)"
        (chain_with_n_arb ~max_p:6 ~max_n:12 ())
        (fun (chain, n) ->
-         Msts.Plan.equal (chain_plan Kernel.Fast chain n)
-           (chain_plan Kernel.Reference chain n)))
+         let plan = kernel_plan chain n in
+         Msts.Plan.equal plan (pseudocode_plan chain n)
+         && Msts.Plan.equal plan (Msts.Plan.Chain (scan chain n))))
 
 let makespans_identical =
   to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"makespan: fast = reference = schedule"
+    (QCheck.Test.make ~count:300 ~name:"makespan: kernel = candidate scan = schedule"
        (chain_with_n_arb ~max_p:6 ~max_n:12 ())
        (fun (chain, n) ->
-         let fast = Msts.Chain_algorithm.makespan ~kernel:Kernel.Fast chain n in
-         fast = Msts.Chain_algorithm.makespan ~kernel:Kernel.Reference chain n
-         && fast
-            = Msts.Schedule.makespan
-                (Msts.Chain_algorithm.schedule ~kernel:Kernel.Fast chain n)))
+         let fast = Algorithm.makespan chain n in
+         fast = scan_makespan chain n
+         && fast = Msts.Schedule.makespan (Algorithm.schedule chain n)))
+
+let per_step_decisions =
+  to_alcotest
+    (QCheck.Test.make ~count:300
+       ~name:"on_step: every kernel placement is Definition 3's pick"
+       (chain_with_n_arb ~max_p:6 ~max_n:12 ())
+       (fun (chain, n) ->
+         let check (s : Algorithm.step) =
+           let cands = s.Algorithm.all_candidates in
+           let want = Algorithm.select cands + 1 in
+           if s.Algorithm.chosen_proc <> want then
+             QCheck.Test.fail_reportf "task %d: kernel chose P%d, Definition 3 P%d"
+               s.Algorithm.task s.Algorithm.chosen_proc want;
+           if s.Algorithm.chosen_vector <> cands.(want - 1) then
+             QCheck.Test.fail_reportf "task %d: kernel vector differs from P%d's candidate"
+               s.Algorithm.task want;
+           if cands <> Algorithm.candidates chain s.Algorithm.state_before then
+             QCheck.Test.fail_reportf "task %d: candidates do not match state_before"
+               s.Algorithm.task
+         in
+         let (_ : Msts.Schedule.t) = Algorithm.schedule ~on_step:check chain n in
+         true))
+
+let observing_changes_nothing =
+  to_alcotest
+    (QCheck.Test.make ~count:100
+       ~name:"on_step: observing changes neither the schedule nor the counters"
+       (chain_with_n_arb ~max_p:6 ~max_n:12 ())
+       (fun (chain, n) ->
+         let run on_step =
+           let mem = Obs.Memory.create () in
+           let s =
+             Obs.with_sink (Obs.Memory.sink mem) (fun () ->
+                 Algorithm.schedule ?on_step chain n)
+           in
+           (s, Obs.Memory.counter_rows mem)
+         in
+         let plain, plain_counters = run None in
+         let seen, seen_counters = run (Some ignore) in
+         Msts.Schedule.equal plain seen && plain_counters = seen_counters))
 
 let deadline_schedules_identical =
   to_alcotest
     (QCheck.Test.make ~count:200
-       ~name:"deadline schedule: fast = reference at several deadlines"
+       ~name:"deadline: most tasks with optimal makespan <= d, at several deadlines"
        (chain_with_n_arb ~max_p:5 ~max_n:8 ())
        (fun (chain, n) ->
-         let opt = Msts.Chain_algorithm.makespan chain n in
-         List.for_all
-           (fun deadline ->
-             Msts.Plan.equal
-               (Msts.Plan.Chain
-                  (Msts.Chain_deadline.schedule ~kernel:Kernel.Fast chain ~deadline))
-               (Msts.Plan.Chain
-                  (Msts.Chain_deadline.schedule ~kernel:Kernel.Reference chain
-                     ~deadline)))
-           [ opt; opt / 2; (2 * opt) + 3 ]))
+         let opt = Algorithm.makespan chain n in
+         Msts.Chain_lemmas.incremental_suffix chain n
+         && List.for_all
+              (fun deadline ->
+                let m = oracle_max_tasks chain ~deadline in
+                Msts.Chain_deadline.max_tasks chain ~deadline = m
+                && Msts.Plan.equal
+                     (Msts.Plan.Chain (Msts.Chain_deadline.schedule chain ~deadline))
+                     (Msts.Plan.Chain (ending_at chain m ~horizon:deadline)))
+              [ opt; opt / 2; (2 * opt) + 3 ]))
 
 let incremental_identical =
   to_alcotest
-    (QCheck.Test.make ~count:200 ~name:"incremental fill: fast = reference"
+    (QCheck.Test.make ~count:200 ~name:"incremental fill: most tasks that fit the horizon"
        (chain_with_n_arb ~max_p:5 ~max_n:8 ())
        (fun (chain, n) ->
-         let horizon = Msts.Chain_algorithm.horizon chain n in
-         let run kernel =
-           let t = Msts.Chain_incremental.create ~kernel chain ~horizon in
-           let placed = Msts.Chain_incremental.fill t () in
-           (placed, Msts.Chain_incremental.schedule t,
-            Msts.Chain_incremental.earliest_emission t)
-         in
-         let pf, sf, ef = run Kernel.Fast in
-         let pr, sr, er = run Kernel.Reference in
-         pf = pr && ef = er && Msts.Plan.equal (Msts.Plan.Chain sf) (Msts.Plan.Chain sr)))
+         let horizon = Algorithm.horizon chain n in
+         let t = Msts.Chain_incremental.create chain ~horizon in
+         let placed = Msts.Chain_incremental.fill t () in
+         let m = oracle_max_tasks chain ~deadline:horizon in
+         let expected = ending_at chain m ~horizon in
+         placed = m
+         && Msts.Chain_incremental.earliest_emission t
+            = (if m = 0 then None
+               else Some (Msts.Schedule.entry expected 1).Msts.Schedule.comms.(0))
+         && Msts.Plan.equal
+              (Msts.Plan.Chain (Msts.Chain_incremental.schedule t))
+              (Msts.Plan.Chain expected)))
+
+(* The spider oracle: a cold full-range search over the uncached
+   [max_tasks], which re-runs every leg's deadline construction per probe. *)
+let full_range_min_makespan spider n =
+  if n = 0 then 0
+  else
+    match
+      Msts.Intx.binary_search_least ~lo:0
+        ~hi:(Msts.Spider_algorithm.makespan_upper_bound spider n)
+        (fun d -> Msts.Spider_algorithm.max_tasks ~budget:n spider ~deadline:d >= n)
+    with
+    | Some d -> d
+    | None -> QCheck.Test.fail_reportf "no deadline fits %d tasks" n
 
 let spider_plans_identical =
   to_alcotest
-    (QCheck.Test.make ~count:100 ~name:"spider: fast = reference plans"
+    (QCheck.Test.make ~count:100 ~name:"spider: leg-cache plans = full-range search plans"
        (spider_with_n_arb ~max_legs:3 ~max_depth:2 ~max_n:6 ())
        (fun (spider, n) ->
-         let run k = with_kernel k (fun () -> Msts.Spider_algorithm.schedule_tasks spider n) in
+         let deadline = full_range_min_makespan spider n in
          Msts.Plan.equal
-           (Msts.Plan.Spider (run Kernel.Fast))
-           (Msts.Plan.Spider (run Kernel.Reference))))
+           (Msts.Plan.Spider (Msts.Spider_algorithm.schedule_tasks spider n))
+           (Msts.Plan.Spider (Msts.Spider_algorithm.schedule ~budget:n spider ~deadline))))
 
 let spider_makespans_identical =
   to_alcotest
-    (QCheck.Test.make ~count:100 ~name:"spider: fast = reference min_makespan"
+    (QCheck.Test.make ~count:100
+       ~name:"spider: leg-cache min_makespan = full-range search"
        (spider_with_n_arb ~max_legs:3 ~max_depth:2 ~max_n:6 ())
        (fun (spider, n) ->
-         with_kernel Kernel.Fast (fun () -> Msts.Spider_algorithm.min_makespan spider n)
-         = with_kernel Kernel.Reference (fun () ->
-               Msts.Spider_algorithm.min_makespan spider n)))
+         Msts.Spider_algorithm.min_makespan spider n = full_range_min_makespan spider n))
 
 (* Times are typed positive in the paper (T : [1;n] -> N+), and Chain.make
    enforces it — c = 0 links or w = 0 slaves are outside the model.  The
@@ -107,12 +174,10 @@ let minimal_platform () =
       Alcotest.(check bool)
         (Printf.sprintf "p=%d n=%d identical" (Msts.Chain.length chain) n)
         true
-        (Msts.Plan.equal (chain_plan Kernel.Fast chain n)
-           (chain_plan Kernel.Reference chain n));
+        (Msts.Plan.equal (kernel_plan chain n) (pseudocode_plan chain n));
       Alcotest.(check int)
         (Printf.sprintf "p=%d n=%d makespan" (Msts.Chain.length chain) n)
-        (Msts.Chain_algorithm.makespan ~kernel:Kernel.Reference chain n)
-        (Msts.Chain_algorithm.makespan ~kernel:Kernel.Fast chain n))
+        (scan_makespan chain n) (Algorithm.makespan chain n))
     [
       (unit_chain, 0);
       (unit_chain, 1);
@@ -192,6 +257,8 @@ let suites =
       [
         schedules_identical;
         makespans_identical;
+        per_step_decisions;
+        observing_changes_nothing;
         deadline_schedules_identical;
         incremental_identical;
         spider_plans_identical;

@@ -744,7 +744,6 @@ let metric_names_documented () =
       "solve";
       "chain.candidate_scans";
       "chain.tasks_placed";
-      "chain.kernel.fast_placements";
       "spider.leg_reuses";
       "engine.events";
       "engine.event_gap_us";
